@@ -76,10 +76,13 @@ bench:
 	$(GO) run ./cmd/paperbench -router -json BENCH_9.json
 
 # One iteration of every benchmark; part of CI so bench code cannot rot.
-# The cascade smoke additionally fails if any enabled filter stage stops
-# pruning (or diverges from the DP oracle) on a tiny DNA dataset.
+# The packed-cascade shard benchmark runs again with its output shown, so the
+# log carries its per-query stage funnel (cand/q, freq/q, gram/q). The
+# cascade smoke additionally fails if any enabled filter stage stops pruning
+# (or diverges from the DP oracle) on a tiny DNA dataset.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./... > /dev/null
+	$(GO) test -run='^$$' -bench='^BenchmarkCascadePackedShard$$' -benchtime=1x ./internal/cascade
 	$(GO) run ./cmd/paperbench -cascadecheck
 
 clean:

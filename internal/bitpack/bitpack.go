@@ -96,12 +96,20 @@ func packedWords(n int) int { return (n + symbolsPerWord - 1) / symbolsPerWord }
 // contiguous word slab instead of allocating per sequence.
 func PackInto(dst []uint64, s string) bool {
 	valid := true
-	for i := 0; i < len(s); i++ {
-		code := encodeTable[s[i]]
-		if code == 0 {
-			valid = false
+	for w := 0; len(s) > 0; w++ {
+		// Fill each word in a register, last symbol first, so the loop
+		// carries no dependency through memory.
+		chunk := s[:min(len(s), symbolsPerWord)]
+		s = s[len(chunk):]
+		var word uint64
+		for i := len(chunk) - 1; i >= 0; i-- {
+			code := encodeTable[chunk[i]]
+			if code == 0 {
+				valid = false
+			}
+			word = word<<3 | uint64(code)
 		}
-		dst[i/symbolsPerWord] |= uint64(code) << uint(3*(i%symbolsPerWord))
+		dst[w] |= word
 	}
 	return valid
 }

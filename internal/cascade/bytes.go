@@ -163,7 +163,6 @@ func (e *Engine) searchBytes(ctx context.Context, q string, k int) ([]Match, err
 	}
 	pl := newBytePlan(ba, q)
 	defer pl.release()
-	k32 := int32(k)
 	ms := make([]Match, 0, 16)
 	for s := lo; s < hi; s++ {
 		if visited%ctxStride == ctxStride-1 {
@@ -172,7 +171,7 @@ func (e *Engine) searchBytes(ctx context.Context, q string, k int) ([]Match, err
 			}
 		}
 		visited++
-		if !e.noFreq && freqBound(pl.vq, ba.freqRow(s)) > k32 {
+		if !e.noFreq && int(freqBound(pl.vq, ba.freqRow(s))) > k {
 			continue
 		}
 		freqKept++

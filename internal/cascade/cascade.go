@@ -12,10 +12,11 @@
 //
 // Stage order is by cost per candidate, cheapest first: the length bucket is
 // a free O(1) slot-range lookup, the frequency bound reads a precomputed
-// five-or-ten-entry vector, the q-gram count streams the candidate once, and
-// only the survivors pay for the edit-distance kernel. See DESIGN §13 for
-// why this ordering (rather than the filters' historical order) maximizes
-// pruned work per instruction.
+// row (one 8-byte word on the packed backend, ten int32 counts on the byte
+// backend) without a data-dependent branch, the q-gram count streams the
+// candidate once, and only the survivors pay for the edit-distance kernel.
+// See DESIGN §13 for why this ordering (rather than the filters' historical
+// order) maximizes pruned work per instruction.
 //
 // For all-DNA datasets the engine stores a 3-bit packed arena
 // (internal/bitpack) instead of raw bytes: each surviving comparison then
@@ -149,21 +150,20 @@ func (e *Engine) SearchContext(ctx context.Context, q string, k int) ([]Match, e
 
 // freqBound returns the frequency-vector lower bound on the edit distance:
 // the larger one-sided L1 surplus between the query's vector and a
-// precomputed candidate row (filter.Frequency.Bound over int32 rows).
+// precomputed candidate row (filter.Frequency.Bound over int32 rows). With
+// over and under the two surpluses, max(over, under) = (L1 + |over-under|)/2
+// and over-under = Σd, so it is computed branch-free from Σ|d| and Σd.
 func freqBound(vq, vx []int32) int32 {
-	var over, under int32
+	vx = vx[:len(vq)]
+	var l1, sum int32
 	for i, a := range vq {
 		d := a - vx[i]
-		if d > 0 {
-			over += d
-		} else {
-			under -= d
-		}
+		m := d >> 31
+		l1 += (d ^ m) - m
+		sum += d
 	}
-	if over > under {
-		return over
-	}
-	return under
+	m := sum >> 31
+	return (l1 + (sum ^ m) - m) / 2
 }
 
 // Stats is a point-in-time snapshot of the engine's layout and cumulative

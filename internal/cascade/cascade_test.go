@@ -3,11 +3,14 @@ package cascade
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"simsearch/internal/bitpack"
+	"simsearch/internal/dataset"
 	"simsearch/internal/edit"
 )
 
@@ -137,6 +140,12 @@ func TestShortStringsAndZeroK(t *testing.T) {
 			}
 		}
 	}
+	// A k beyond int32 must not wrap around in the frequency stage.
+	for _, d := range [][]string{data, data[:5]} {
+		if got, want := New(d).Search("ACG", 1<<32), oracle(d, "ACG", len(d)); !equal(got, want) {
+			t.Errorf("Search(ACG, 1<<32) over %q = %v, want every string: %v", d, got, want)
+		}
+	}
 	if ms := e.Search("ACG", -1); ms != nil {
 		t.Errorf("negative k must return nil, got %v", ms)
 	}
@@ -243,5 +252,154 @@ func TestConcurrentSearches(t *testing.T) {
 			}(int64(g))
 		}
 		wg.Wait()
+	}
+}
+
+// freqBoundOverUnder is the textbook form of the frequency bound: the larger
+// of the two one-sided L1 surpluses.
+func freqBoundOverUnder(vq, vx []int32) int32 {
+	var over, under int32
+	for i, a := range vq {
+		d := a - vx[i]
+		if d > 0 {
+			over += d
+		} else {
+			under -= d
+		}
+	}
+	return max(over, under)
+}
+
+func randomCounts(r *rand.Rand, n int, maxCount int32) []int32 {
+	v := make([]int32, n)
+	for i := range v {
+		v[i] = r.Int31n(maxCount + 1)
+	}
+	return v
+}
+
+func TestFreqBoundMatchesOverUnder(t *testing.T) {
+	fn := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := r.Intn(12)
+		vq, vx := randomCounts(r, n, 300), randomCounts(r, n, 300)
+		if got, want := freqBound(vq, vx), freqBoundOverUnder(vq, vx); got != want {
+			t.Errorf("freqBound(%v, %v) = %d, want %d", vq, vx, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(fn, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// swarOf returns the frequency row and symbol total of a count vector.
+func swarOf(v []int32) (uint64, int32) {
+	var counts [dnaSyms]int32
+	var total int32
+	for i, c := range v {
+		counts[i] = c
+		total += c
+	}
+	return swarRow(&counts), total
+}
+
+func TestPackedRowCountsSymbols(t *testing.T) {
+	fn := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		s := randomString(r, "ACGNT", 60)
+		if r.Intn(2) == 0 {
+			s += strings.Repeat(string("ACGNT"[r.Intn(5)]), r.Intn(300))
+		}
+		words := make([]uint64, bitpack.PackedWords(len(s)))
+		bitpack.PackInto(words, s)
+		var counts [dnaSyms]int32
+		for i := 0; i < len(s); i++ {
+			counts[bitpack.Code(s[i])-1]++
+		}
+		if got, want := packedRow(words), swarRow(&counts); got != want {
+			t.Errorf("packedRow(%q) = %#x, want %#x", s, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(fn, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The packed stage prunes iff swarBound > 2k, so soundness needs swarBound
+// ≤ 2·freqBound for every pair of count vectors; with no count above the
+// lane maximum the two bounds must agree, so the funnel does not change.
+func TestSWARBoundSaturation(t *testing.T) {
+	check := func(vq, vx []int32) bool {
+		fq, nq := swarOf(vq)
+		fx, nx := swarOf(vx)
+		got, exact := swarBound(fq, fx, nq-nx), 2*freqBound(vq, vx)
+		if got > exact {
+			t.Errorf("swarBound(%v, %v) = %d exceeds 2·freqBound = %d", vq, vx, got, exact)
+			return false
+		}
+		if slices.Max(vq) <= laneMax && slices.Max(vx) <= laneMax && got != exact {
+			t.Errorf("swarBound(%v, %v) = %d, want 2·freqBound = %d", vq, vx, got, exact)
+			return false
+		}
+		return true
+	}
+	edges := [][]int32{
+		{0, 0, 0, 0, 0},
+		{127, 127, 127, 127, 127},
+		{128, 0, 0, 0, 0},
+		{0, 0, 0, 0, 300},
+		{127, 0, 127, 0, 127},
+		{1000, 1, 126, 127, 128},
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	fn := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		maxCount := []int32{3, 127, 200, 1000}[r.Intn(4)]
+		return check(randomCounts(r, dnaSyms, maxCount), randomCounts(r, dnaSyms, maxCount))
+	}
+	if err := quick.Check(fn, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Long homopolymer runs put more than laneMax copies of one symbol in a row
+// on both sides of the frequency stage; the packed cascade must still return
+// exactly the DP oracle's answer.
+func TestPackedSaturatedCountsMatchOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	const alpha = "ACGNT"
+	var data []string
+	for _, c := range alpha {
+		run := strings.Repeat(string(c), 300)
+		data = append(data, run)
+		for k := 1; k <= 4; k++ {
+			data = append(data, dataset.Mutate(r, run, k, alpha))
+		}
+	}
+	data = append(data,
+		strings.Repeat("A", 200)+strings.Repeat("C", 100),
+		strings.Repeat("A", 150)+strings.Repeat("G", 150),
+		strings.Repeat("T", 130)+randomString(r, alpha, 170))
+	e := New(data)
+	if !e.Packed() {
+		t.Fatal("DNA data must select the packed backend")
+	}
+	for i := 0; i < 60; i++ {
+		q := dataset.Mutate(r, data[r.Intn(len(data))], r.Intn(4), alpha)
+		k := r.Intn(5)
+		if got, want := e.Search(q, k), oracle(data, q, k); !equal(got, want) {
+			t.Errorf("Search(%q, %d) = %v, want %v", q, k, got, want)
+		}
+	}
+	if st := e.Stats(); st.FreqSurvivors == st.Candidates {
+		t.Errorf("frequency stage pruned nothing: %+v", st)
 	}
 }

@@ -1,13 +1,16 @@
 // The packed backend: a contiguous 3-bit DNA arena (the paper's §6
 // "Dictionary Compression") laid out exactly like the scan arena — one word
-// slab, slots bucketed by (length, ID) — plus a per-slot frequency-vector
-// slab so cascade stage 2 reads five ints instead of the sequence.
+// slab, slots bucketed by (length, ID) — plus one 8-byte frequency row per
+// slot, so cascade stage 2 reads one word instead of the sequence and
+// bounds it with a handful of branch-free SWAR (SIMD-within-a-register)
+// operations.
 package cascade
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"simsearch/internal/bitpack"
 	"simsearch/internal/filter"
@@ -24,11 +27,75 @@ const packedQ = 3
 // packedGramSpace is the number of distinct packed 3-grams (8^3).
 const packedGramSpace = 1 << (3 * packedQ)
 
+// Frequency rows pack code c's count into byte lane c-1 (A, C, G, N, T in
+// lanes 0..4; lanes 5..7 stay zero), saturated at laneMax so every lane's
+// high bit is free for the borrow-free subtraction in swarBound.
+const (
+	laneMax   = 0x7f
+	laneHigh  = 0x8080808080808080
+	laneLow7  = 0x7f7f7f7f7f7f7f7f
+	laneEven  = 0x00ff00ff00ff00ff
+	laneSum16 = 0x0001000100010001
+)
+
+// swarRow packs a symbol-count vector into one SWAR row, saturating each
+// count at laneMax.
+func swarRow(counts *[dnaSyms]int32) uint64 {
+	var row uint64
+	for i, c := range counts {
+		row |= uint64(min(c, laneMax)) << (8 * i)
+	}
+	return row
+}
+
+// lsb3 has the low bit of each of a packed word's 21 3-bit symbol fields.
+const lsb3 = 0x1249249249249249
+
+// packedRow returns the frequency row of a packed sequence. Per word it
+// splits the symbol fields into three bit planes and, per code, keeps the
+// fields whose planes all match the code's bits, counted by one popcount;
+// zero padding fields match no code.
+func packedRow(words []uint64) uint64 {
+	var counts [dnaSyms]int32
+	for _, w := range words {
+		b0, b1, b2 := w&lsb3, w>>1&lsb3, w>>2&lsb3
+		for c := range counts {
+			code := uint64(c + 1)
+			m := lsb3 &^ (b0 ^ lsb3*(code&1)) &^ (b1 ^ lsb3*(code>>1&1)) &^ (b2 ^ lsb3*(code>>2))
+			counts[c] += int32(bits.OnesCount64(m))
+		}
+	}
+	return swarRow(&counts)
+}
+
+// swarBound returns twice the frequency-vector lower bound on the edit
+// distance between two strings with frequency rows a and b, where dn is the
+// difference of their DNA symbol totals. With over and under the one-sided
+// L1 surpluses, max(over, under) = (L1 + |over-under|)/2 and over-under = dn,
+// so the bound needs only L1 and dn. L1 is taken over the saturated lanes:
+// min(c, laneMax) is monotone and 1-Lipschitz, so the result never exceeds
+// twice filter.Frequency.Bound (the stage stays sound), and equals it when
+// no count passes laneMax.
+//
+// Per lane, (a|0x80)-b = 128+a-b and (b|0x80)-a = 128+b-a never borrow
+// across lanes; the first one's high bit selects which of the two holds
+// |a-b| in its low seven bits. The lanes are then summed pairwise into
+// 16-bit lanes and folded by one multiply.
+func swarBound(a, b uint64, dn int32) int32 {
+	ab := (a | laneHigh) - b
+	ba := (b | laneHigh) - a
+	ge := ((ab & laneHigh) >> 7) * 0xff // 0xff in the lanes where a >= b
+	abs := (ab&ge | ba&^ge) & laneLow7
+	pairs := abs&laneEven + abs>>8&laneEven
+	m := dn >> 31
+	return int32(pairs*laneSum16>>48) + (dn ^ m) - m
+}
+
 // packedArena is the 3-bit analogue of scan's byte arena. Slot s holds
 // lens[s] symbols packed into words[wordOff[s] : wordOff[s]+PackedWords],
 // each slot starting at a word boundary with zero padding, so
-// bitpack.View(slot) is a valid Seq without copying. freq holds dnaSyms
-// counts per slot (code order A, C, G, N, T), slot-major.
+// bitpack.View(slot) is a valid Seq without copying. freq[s] is slot s's
+// frequency row (see swarRow).
 type packedArena struct {
 	words    []uint64
 	wordOff  []int32
@@ -36,7 +103,7 @@ type packedArena struct {
 	ids      []int32
 	lenStart []int32 // bucket of length l spans [lenStart[l], lenStart[l+1])
 	maxLen   int
-	freq     []int32
+	freq     []uint64
 }
 
 // buildPackedArena packs all-DNA data with the same counting sort by
@@ -61,7 +128,7 @@ func buildPackedArena(data []string) *packedArena {
 		ids:      make([]int32, len(data)),
 		lenStart: make([]int32, maxLen+2),
 		maxLen:   maxLen,
-		freq:     make([]int32, dnaSyms*len(data)),
+		freq:     make([]uint64, len(data)),
 	}
 	counts := make([]int32, maxLen+1)
 	for _, s := range data {
@@ -89,11 +156,9 @@ func buildPackedArena(data []string) *packedArena {
 		wo := wordStart[len(s)]
 		wordStart[len(s)] += int32(bitpack.PackedWords(len(s)))
 		a.wordOff[sl] = wo
-		bitpack.PackInto(a.words[wo:wo+int32(bitpack.PackedWords(len(s)))], s)
-		row := a.freq[int(sl)*dnaSyms : int(sl)*dnaSyms+dnaSyms]
-		for j := 0; j < len(s); j++ {
-			row[bitpack.Code(s[j])-1]++
-		}
+		slab := a.words[wo : wo+int32(bitpack.PackedWords(len(s)))]
+		bitpack.PackInto(slab, s)
+		a.freq[sl] = packedRow(slab)
 	}
 	return a
 }
@@ -119,11 +184,6 @@ func (a *packedArena) view(s int32) bitpack.Seq {
 	return bitpack.View(a.words[w:w+int32(bitpack.PackedWords(int(a.lens[s])))], int(a.lens[s]))
 }
 
-// freqRow returns slot s's precomputed frequency vector.
-func (a *packedArena) freqRow(s int32) []int32 {
-	return a.freq[int(s)*dnaSyms : int(s)*dnaSyms+dnaSyms]
-}
-
 // buckets returns the number of distinct, non-empty length buckets.
 func (a *packedArena) buckets() int {
 	n := 0
@@ -136,12 +196,13 @@ func (a *packedArena) buckets() int {
 }
 
 // packedPlan is the per-query compiled state of the packed cascade: the
-// lossily packed query, its frequency vector, its 3-gram profile, and the
-// kernel scratch. Everything per-candidate reuses this state; nothing in the
-// sweep allocates.
+// lossily packed query, its frequency row and DNA symbol total, its 3-gram
+// profile, and the kernel scratch. Everything per-candidate reuses this
+// state; nothing in the sweep allocates.
 type packedPlan struct {
 	qseq    bitpack.Seq
-	vq      [dnaSyms]int32
+	fq      uint64                 // frequency row of the query's DNA symbols
+	nq      int32                  // number of DNA symbols in the query
 	profile [packedGramSpace]int32 // query gram multiplicities
 	used    [packedGramSpace]int32 // candidate consumption, restored per candidate
 	touched []uint16
@@ -154,11 +215,14 @@ type packedPlan struct {
 // byte-level DP (see bitpack.PackLossy).
 func newPackedPlan(q string) *packedPlan {
 	pl := &packedPlan{qseq: bitpack.PackLossy(q)}
+	var counts [dnaSyms]int32
 	for i := 0; i < len(q); i++ {
 		if c := bitpack.Code(q[i]); c != 0 {
-			pl.vq[c-1]++
+			counts[c-1]++
+			pl.nq++
 		}
 	}
+	pl.fq = swarRow(&counts)
 	if len(q) >= packedQ {
 		pl.qGrams = len(q) - packedQ + 1
 		gram := uint32(0)
@@ -215,6 +279,8 @@ func (pl *packedPlan) gramKeep(v bitpack.Seq, bound int) bool {
 // searchPacked runs the cascade over the packed arena. The slot window is
 // the length filter; the loop polls ctx every ctxStride candidates like
 // scan.scanArenaSlots, and stage counters are flushed on every exit path.
+// Every stored symbol is a DNA code, so a slot's symbol total is its length
+// and the frequency stage reads just the slot's row and length.
 func (e *Engine) searchPacked(ctx context.Context, q string, k int) ([]Match, error) {
 	pa := e.packed
 	lo, hi := pa.slotRange(len(q)-k, len(q)+k)
@@ -231,7 +297,7 @@ func (e *Engine) searchPacked(ctx context.Context, q string, k int) ([]Match, er
 		return nil, nil
 	}
 	pl := newPackedPlan(q)
-	k32 := int32(k)
+	k2 := 2 * k
 	ms := make([]Match, 0, 16)
 	for s := lo; s < hi; s++ {
 		if visited%ctxStride == ctxStride-1 {
@@ -240,7 +306,7 @@ func (e *Engine) searchPacked(ctx context.Context, q string, k int) ([]Match, er
 			}
 		}
 		visited++
-		if !e.noFreq && freqBound(pl.vq[:], pa.freqRow(s)) > k32 {
+		if !e.noFreq && int(swarBound(pl.fq, pa.freq[s], pl.nq-pa.lens[s])) > k2 {
 			continue
 		}
 		freqKept++

@@ -256,6 +256,9 @@ func TestErrorLadder(t *testing.T) {
 		{"search negative k", http.MethodGet, "/search?q=x&k=-1", "", http.StatusBadRequest},
 		{"search k over max", http.MethodGet, "/search?q=x&k=99", "", http.StatusBadRequest},
 		{"search q too long", http.MethodGet, "/search?q=" + long, "", http.StatusBadRequest},
+		// The shard hop carries q as JSON, which would turn these bytes into
+		// U+FFFD and answer for another string.
+		{"search q not utf8", http.MethodGet, "/search?q=Z%FCrich", "", http.StatusBadRequest},
 		{"batch bad json", http.MethodPost, "/search/batch", "not json", http.StatusBadRequest},
 		{"batch empty", http.MethodPost, "/search/batch", `{"queries":[]}`, http.StatusBadRequest},
 		{"batch empty q", http.MethodPost, "/search/batch", `{"queries":[{"q":""}]}`, http.StatusBadRequest},

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"simsearch/internal/httpapi"
 	"simsearch/internal/metrics"
@@ -228,6 +229,12 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query().Get("q")
+	// The shard hop carries the query as JSON, which would replace every
+	// invalid UTF-8 byte with U+FFFD and search a different string.
+	if !utf8.ValidString(q) {
+		c.fail(w, http.StatusBadRequest, "q must be valid UTF-8")
+		return
+	}
 	var kp *int
 	if v := r.URL.Query().Get("k"); v != "" {
 		n, err := strconv.Atoi(v)

@@ -35,9 +35,12 @@ go test -race ./internal/pool ./internal/exec ./internal/cache ./internal/httpap
 
 echo "== bench smoke =="
 # One iteration of every benchmark, so bench code cannot silently rot; the
-# cascade check fails if an enabled filter stage stops pruning on a tiny
-# DNA dataset or diverges from the DP oracle.
+# packed-cascade shard benchmark runs again with its output shown, so the
+# log carries its per-query stage funnel; the cascade check fails if an
+# enabled filter stage stops pruning on a tiny DNA dataset or diverges from
+# the DP oracle.
 go test -run='^$' -bench=. -benchtime=1x ./... > /dev/null
+go test -run='^$' -bench='^BenchmarkCascadePackedShard$' -benchtime=1x ./internal/cascade
 go run ./cmd/paperbench -cascadecheck
 
 echo "== fuzz smoke =="
